@@ -1,6 +1,6 @@
 //! CPU convolution engines for the μ-cuDNN reproduction.
 //!
-//! Four interchangeable engines compute the same mathematical operation with
+//! Five interchangeable engines compute the same mathematical operation with
 //! different algorithm/workspace trade-offs, mirroring cuDNN's algorithm
 //! families:
 //!
@@ -8,7 +8,7 @@
 //! |--------------|--------------------------|-------------------------|-------------|
 //! | [`direct`]   | `IMPLICIT_GEMM`          | zero                    | none        |
 //! | [`im2col_gemm`] | `GEMM`                | per-sample column matrix| none        |
-//! | [`fft_conv`] | `FFT` / `FFT_TILING`     | activation+filter spectra (∝ batch) | stride 1, pad < filter |
+//! | [`fft_conv`] | `FFT` / `FFT_TILING`     | half (Hermitian) re/im spectra of activations (∝ batch) and filters | stride 1, pad < filter |
 //! | [`winograd`] | `WINOGRAD`               | transformed tiles (∝ batch) | 3×3, stride 1, pad ≤ 2; fwd & bwd-data only |
 //! | [`winograd_f4`] | `WINOGRAD_NONFUSED`   | transformed 6×6 tiles (∝ batch) | 3×3, stride 1, pad ≤ 2; fwd & bwd-data only |
 //!
@@ -222,7 +222,7 @@ pub fn exec(
 }
 
 /// [`exec`] with a caller-held [`EnginePlan`] that caches call-invariant
-/// state (packed filter panels, FFT tables and filter spectra, transformed
+/// state (packed filter panels, FFT tables, buffers and filter spectra, transformed
 /// Winograd filters) across invocations. Reusing one plan for a layer's
 /// micro-batches — and across training iterations — skips the per-call
 /// re-derivation; results are bit-identical to [`exec`].

@@ -413,25 +413,25 @@ impl UcudnnHandle {
     /// # Errors
     /// Propagates the first optimization failure in registration order.
     pub fn optimize_network(&self, kernels: &[KernelKey]) -> Result<(), UcudnnError> {
-        let start = std::time::Instant::now();
         let threads = self.opts.opt_threads.max(1);
         self.metrics.set_threads(threads);
         match self.opts.mode {
-            OptimizerMode::Wr => self.optimize_network_wr(kernels, threads)?,
+            OptimizerMode::Wr => {
+                let start = std::time::Instant::now();
+                self.optimize_network_wr(kernels, threads)?;
+                self.state.lock().opt_wall_us += start.elapsed().as_secs_f64() * 1e6;
+            }
             OptimizerMode::Wd => {
-                {
-                    let mut st = self.state.lock();
-                    for k in kernels {
-                        if !st.plans.contains_key(k) {
-                            st.pending.push(*k);
-                        }
+                // `run_wd` counts its own wall time.
+                let mut st = self.state.lock();
+                for k in kernels {
+                    if !st.plans.contains_key(k) {
+                        st.pending.push(*k);
                     }
                 }
-                self.finalize_network()?;
+                self.run_wd(&mut st)?;
             }
         }
-        let mut st = self.state.lock();
-        st.opt_wall_us += start.elapsed().as_secs_f64() * 1e6;
         // Args are thread-count-independent on purpose: logical-clock traces
         // of the same network must not differ by `opt_threads`.
         trace::event("opt", "network_done", || {

@@ -223,3 +223,48 @@ fn memory_report_reflects_workspace_limits() {
     }
     assert!(h.total_workspace_bytes() <= 32 * MIB);
 }
+
+#[test]
+fn optimization_wall_time_is_counted_once() {
+    // `optimization_wall_us` must never exceed the wall time around the one
+    // `optimize_network` call that did all the optimization — under WD the
+    // nested finalize used to add its time a second time.
+    use ucudnn::KernelKey;
+    use ucudnn_tensor::{ConvGeometry, FilterShape, Shape4};
+    let kernels: Vec<KernelKey> = [(64, 27, 192, 5, 2), (192, 13, 384, 3, 1)]
+        .into_iter()
+        .flat_map(|(c, hw, k, r, pad)| {
+            let g = ConvGeometry::with_square(
+                Shape4::new(64, c, hw, hw),
+                FilterShape::new(k, c, r, r),
+                pad,
+                1,
+            );
+            [
+                ConvOp::Forward,
+                ConvOp::BackwardData,
+                ConvOp::BackwardFilter,
+            ]
+            .map(|op| KernelKey::new(op, &g))
+        })
+        .collect();
+    for mode in [OptimizerMode::Wr, OptimizerMode::Wd] {
+        let h = UcudnnHandle::new(
+            CudnnHandle::simulated(p100_sxm2()),
+            UcudnnOptions {
+                workspace_limit_bytes: 64 * MIB,
+                mode,
+                ..Default::default()
+            },
+        );
+        let start = std::time::Instant::now();
+        h.optimize_network(&kernels).unwrap();
+        let wall_us = start.elapsed().as_secs_f64() * 1e6;
+        let counted = h.optimization_wall_us();
+        assert!(counted > 0.0, "{mode:?}: optimization time is recorded");
+        assert!(
+            counted <= wall_us,
+            "{mode:?}: counted {counted:.0} us, but the call took {wall_us:.0} us"
+        );
+    }
+}
