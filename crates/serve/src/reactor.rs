@@ -55,8 +55,9 @@ use ucudnn::{IngressBackend, IngressOptions};
 const WRITE_HIGH_WATER: usize = 256 * 1024;
 /// Resume reads once the outbound buffer drains below this.
 const WRITE_LOW_WATER: usize = WRITE_HIGH_WATER / 4;
-/// Hard cap on buffered unparsed input per connection; a frame that grows
-/// past this closes the connection as a read error.
+/// Cap on buffered unparsed input per connection: reads stop here until
+/// the parser catches up, and a single frame that grows past it closes the
+/// connection as a read error.
 const RBUF_CAP: usize = 4 * 1024 * 1024;
 /// Loop tick while any connection is parked (admission or write
 /// backpressure) — the resume condition is polled, not signaled.
@@ -745,27 +746,25 @@ impl EventLoop {
     }
 }
 
-/// Drain the socket into the connection's read buffer until `WouldBlock`
-/// or EOF. Oversized frames and transport errors mark the connection dead.
+/// Drain the socket into the connection's read buffer until `WouldBlock`,
+/// EOF, or `RBUF_CAP` buffered bytes. Past the cap the rest stays in the
+/// kernel until the parser has consumed what is buffered; the poller is
+/// level-triggered, so it reports the socket again. A full buffer without
+/// one complete line is an oversized frame; it and transport errors mark
+/// the connection dead.
 fn read_some(conn: &mut Conn, draining: bool) {
     if draining {
         return;
     }
     let mut buf = [0u8; 16 * 1024];
-    loop {
+    while conn.rbuf.len() < RBUF_CAP {
         match conn.stream.read(&mut buf) {
             Ok(0) => {
                 conn.read_closed = true;
                 conn.eof = true;
                 return;
             }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&buf[..n]);
-                if conn.rbuf.len() > RBUF_CAP {
-                    conn.death = Some(Death::ReadErr);
-                    return;
-                }
-            }
+            Ok(n) => conn.rbuf.extend_from_slice(&buf[..n]),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
@@ -773,6 +772,9 @@ fn read_some(conn: &mut Conn, draining: bool) {
                 return;
             }
         }
+    }
+    if !conn.rbuf.contains(&b'\n') {
+        conn.death = Some(Death::ReadErr);
     }
 }
 

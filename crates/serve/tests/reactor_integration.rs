@@ -279,6 +279,79 @@ fn a_full_admission_queue_parks_reads_instead_of_shedding() {
 }
 
 #[test]
+fn a_backlog_larger_than_the_read_cap_is_served_not_dropped() {
+    // Regression: while admission is paused the kernel socket buffers can
+    // hold more pipelined bytes than the reactor's 4 MiB read cap. The
+    // reactor used to drain all of them into its read buffer in one go on
+    // resume and kill the connection as if one frame were oversized. Each
+    // line here is valid JSON padded to ~64 KiB (a long float literal), so
+    // the pipeline is several times the cap while no single frame is.
+    let server = Arc::new(Server::start(
+        Arc::new(SlowRunner),
+        &ServeOptions {
+            slo_us: 60_000_000.0,
+            queue_cap: 4,
+            workers: 1,
+            max_batch: 4,
+        },
+    ));
+    let tcp = TcpFrontend::start_with(Arc::clone(&server), "127.0.0.1:0", &ingress(1)).unwrap();
+    let mut stream = TcpStream::connect(tcp.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    const N: usize = 160;
+    let writer = std::thread::spawn(move || {
+        let pad = "0".repeat(64 * 1024);
+        for i in 0..N {
+            let line = format!("{{\"id\":{i},\"input\":[0.1{pad},0.2,0.3,0.4]}}\n");
+            stream.write_all(line.as_bytes())?;
+        }
+        Ok::<_, std::io::Error>(stream)
+    });
+    for i in 0..N {
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).unwrap() > 0,
+            "connection closed after {i} responses"
+        );
+        let v = Value::parse(line.trim()).expect("valid response");
+        assert_eq!(v.get("id").unwrap().as_u64(), Some(i as u64));
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{line}");
+    }
+    drop(writer.join().unwrap().expect("the server kept reading"));
+    let m = server.metrics();
+    assert!(
+        m.conn_admission_pause.get() > 0,
+        "admission must have paused"
+    );
+    assert_eq!(m.conn_read_err.get(), 0);
+    assert_eq!(m.completed.get(), N as u64);
+
+    tcp.stop();
+    server.drain();
+}
+
+#[test]
+fn a_single_frame_past_the_read_cap_closes_the_connection() {
+    let server = Arc::new(Server::start(Arc::new(SlowRunner), &opts()));
+    let tcp = TcpFrontend::start_with(Arc::clone(&server), "127.0.0.1:0", &ingress(1)).unwrap();
+    let mut stream = TcpStream::connect(tcp.local_addr()).unwrap();
+    // 5 MiB with no line terminator: one frame larger than the 4 MiB cap.
+    // The server may close mid-write, so the write result is not checked.
+    let _ = stream.write_all(&vec![b' '; 5 * 1024 * 1024]);
+    let mut rest = Vec::new();
+    let _ = stream.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "no response to an oversized frame");
+    assert!(wait_until(Duration::from_secs(5), || server
+        .metrics()
+        .conn_read_err
+        .get()
+        == 1));
+
+    tcp.stop();
+    server.drain();
+}
+
+#[test]
 fn the_connection_cap_rejects_at_the_listener() {
     let (server, tcp, len) = real_frontend(
         25,
